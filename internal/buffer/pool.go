@@ -18,6 +18,7 @@ package buffer
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -56,8 +57,8 @@ type Recorder interface {
 
 // Errors returned by the pool.
 var (
-	// ErrPoolFull reports that every evictable frame of the page's shard is
-	// pinned and nothing can be evicted.
+	// ErrPoolFull reports that every frame of the pool is pinned and nothing
+	// can be evicted.
 	ErrPoolFull = errors.New("buffer: all frames pinned")
 	// ErrNotCached reports a FlushPage of a page that is not resident.
 	ErrNotCached = errors.New("buffer: page not resident")
@@ -71,11 +72,15 @@ type poolShard struct {
 	frames []*Frame
 	table  map[core.LPN]int // lpn -> index into frames
 	hand   int
+	// borrowing is set while the shard's lock holder, with every frame of
+	// the shard pinned, looks for a frame in the other shards.
+	borrowing atomic.Bool
 }
 
-// Frame is one page-sized slot of the pool.  A frame belongs permanently to
-// one shard; the shard mutex guards every field except data (per-frame latch)
-// and dirty (atomic).
+// Frame is one page-sized slot of the pool.  A frame belongs to one shard,
+// which guards every field except data (per-frame latch) and dirty
+// (atomic); an unpinned frame may move to a shard whose frames are all
+// pinned (see borrowFrameLocked).
 type Frame struct {
 	mu         sync.RWMutex // content latch
 	shard      *poolShard
@@ -86,14 +91,16 @@ type Frame struct {
 	valid      bool
 	pins       int
 	ref        bool
-	prefetched bool // staged by read-ahead, not yet demanded
+	prefetched bool   // staged by read-ahead, not yet demanded
+	handle     Handle // returned by every pin of this frame
 }
 
-// Handle is a pinned reference to a frame.  Callers must Release it exactly
-// once, and must bracket data access with Lock/Unlock (writers) or
-// RLock/RUnlock (readers).
+// Handle is a pinned reference to a frame.  Every pin of a frame returns the
+// same Handle, owned by the frame: it carries no per-pin state, so a pin is
+// not an allocation.  Callers must Release once per Fetch (or NewPage, or
+// FetchMany position) that returned it, must not use it after that, and must
+// bracket data access with Lock/Unlock (writers) or RLock/RUnlock (readers).
 type Handle struct {
-	pool  *Pool
 	frame *Frame
 }
 
@@ -262,7 +269,9 @@ func (p *Pool) buildShards(n int) {
 			table:  make(map[core.LPN]int, size),
 		}
 		for j := range s.frames {
-			s.frames[j] = &Frame{shard: s, data: make([]byte, p.pageSize)}
+			f := &Frame{shard: s, data: make([]byte, p.pageSize)}
+			f.handle.frame = f
+			s.frames[j] = f
 		}
 		p.shards[i] = s
 	}
@@ -359,7 +368,8 @@ func (p *Pool) ResetCounters() {
 }
 
 // Fetch pins the page, reading it from the backend on a miss.  The returned
-// time includes any eviction write-back and the read itself.
+// time includes any eviction write-back and the read itself.  The handle is
+// the frame's own (see Handle): release it exactly once per Fetch.
 //
 // When read-ahead is configured and the backend supports batching, a miss
 // also stages the next sequential pages of the LPN space: they are read in
@@ -383,7 +393,7 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 			p.prefetchHits.Add(1)
 		}
 		s.mu.Unlock()
-		return &Handle{pool: p, frame: f}, now, nil
+		return &f.handle, now, nil
 	}
 	p.misses.Add(1)
 	if p.tracer.Enabled(obs.ClassBufMiss) {
@@ -435,7 +445,7 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 		if p.recorder != nil {
 			p.recorder.RecordPhysRead(hint.ObjectID, 1)
 		}
-		return &Handle{pool: p, frame: f}, done, nil
+		return &f.handle, done, nil
 	}
 
 	// Batched path: demand page first, prefetch pages after it.
@@ -491,7 +501,7 @@ func (p *Pool) Fetch(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim.T
 	// The caller pays for its own page only; the prefetched pages overlap
 	// on other dies and their (near-identical) completion is not the
 	// caller's concern.
-	return &Handle{pool: p, frame: f}, demand.Done, nil
+	return &f.handle, demand.Done, nil
 }
 
 // FetchMany pins a set of pages, reading every non-resident page from the
@@ -557,7 +567,7 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 					f.prefetched = false
 					p.prefetchHits.Add(1)
 				}
-				handles[i] = &Handle{pool: p, frame: f}
+				handles[i] = &f.handle
 				continue
 			}
 			p.misses.Add(1)
@@ -587,7 +597,7 @@ func (p *Pool) FetchMany(now sim.Time, lpns []core.LPN, hint core.Hint) ([]*Hand
 			// the data is there (cannot block here: the frame had no pins).
 			f.mu.Lock()
 			s.table[lpn] = idx
-			handles[i] = &Handle{pool: p, frame: f}
+			handles[i] = &f.handle
 			misses = append(misses, missFrame{pos: i, frame: f})
 		}
 		s.mu.Unlock()
@@ -774,7 +784,7 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 		}
 		p.newPages.Add(1)
 		s.mu.Unlock()
-		return &Handle{pool: p, frame: f}, now, nil
+		return &f.handle, now, nil
 	}
 	p.newPages.Add(1)
 	idx, now, err := p.allocFrameLocked(s, now)
@@ -795,15 +805,85 @@ func (p *Pool) NewPage(now sim.Time, lpn core.LPN, hint core.Hint) (*Handle, sim
 	}
 	s.table[lpn] = idx
 	s.mu.Unlock()
-	return &Handle{pool: p, frame: f}, now, nil
+	return &f.handle, now, nil
 }
 
-// allocFrameLocked finds a victim frame in shard s using the CLOCK policy,
+// allocFrameLocked finds a free frame for shard s: a victim of the shard's
+// own CLOCK, or, when every frame of s is pinned, one borrowed from another
+// shard.  ErrPoolFull therefore means that no shard has an evictable frame.
+// Caller holds s.mu.
+func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, error) {
+	idx, now, err := p.evictLocked(s, now)
+	if err != ErrPoolFull || len(p.shards) == 1 {
+		return idx, now, err
+	}
+	return p.borrowFrameLocked(s, now)
+}
+
+// borrowFrameLocked evicts a frame of another shard and moves it into s.
+// Caller holds s.mu, and no other goroutine waits for one shard lock while
+// holding another, except here; so the other shards are only try-locked.  A
+// shard whose lock is held by a borrower has every frame pinned and is
+// skipped; any other held shard is retried, since its holder will release
+// it.  Each shard keeps at least one frame.
+func (p *Pool) borrowFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, error) {
+	s.borrowing.Store(true)
+	defer s.borrowing.Store(false)
+	for {
+		retry := false
+		for _, o := range p.shards {
+			if o == s {
+				continue
+			}
+			if !o.mu.TryLock() {
+				retry = retry || !o.borrowing.Load()
+				continue
+			}
+			if len(o.frames) < 2 {
+				o.mu.Unlock()
+				continue
+			}
+			idx, t, err := p.evictLocked(o, now)
+			if err == ErrPoolFull {
+				o.mu.Unlock()
+				continue
+			}
+			if err != nil {
+				o.mu.Unlock()
+				return 0, t, err
+			}
+			f := o.frames[idx]
+			last := len(o.frames) - 1
+			if idx != last {
+				moved := o.frames[last]
+				o.frames[idx] = moved
+				if moved.valid {
+					o.table[moved.lpn] = idx
+				}
+			}
+			o.frames[last] = nil
+			o.frames = o.frames[:last]
+			if o.hand >= last {
+				o.hand = 0
+			}
+			f.shard = s
+			o.mu.Unlock()
+			s.frames = append(s.frames, f)
+			return len(s.frames) - 1, t, nil
+		}
+		if !retry {
+			return 0, now, ErrPoolFull
+		}
+		runtime.Gosched()
+	}
+}
+
+// evictLocked finds a victim frame in shard s using the CLOCK policy,
 // writing it back if dirty.  Caller holds s.mu; the mutex stays held
 // throughout (the backend write is bookkeeping plus virtual-time math, not
 // real I/O).  A victim has zero pins, so no latch holder can exist and its
 // data may be read directly.
-func (p *Pool) allocFrameLocked(s *poolShard, now sim.Time) (int, sim.Time, error) {
+func (p *Pool) evictLocked(s *poolShard, now sim.Time) (int, sim.Time, error) {
 	// First pass preference: an invalid (never used) frame.
 	for i, f := range s.frames {
 		if !f.valid && f.pins == 0 {

@@ -356,3 +356,45 @@ func TestPoolConcurrentAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPoolFetchHitAllocs pins the pin path: a Fetch that hits returns the
+// frame's own handle, so a hit plus its Release allocate nothing.
+func TestPoolFetchHitAllocs(t *testing.T) {
+	p := New(newMemBackend(128), 8, 128, nil)
+	h, _, err := p.NewPage(0, 1, core.Hint{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	allocs := testing.AllocsPerRun(1000, func() {
+		h, _, err := p.Fetch(0, 1, core.Hint{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("fetch hit + release allocated %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkPoolFetchHit measures a resident page's Fetch plus Release.
+func BenchmarkPoolFetchHit(b *testing.B) {
+	p := New(newMemBackend(4096), 64, 4096, nil)
+	for lpn := core.LPN(1); lpn <= 32; lpn++ {
+		h, _, err := p.NewPage(0, lpn, core.Hint{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, _, err := p.Fetch(0, core.LPN(i%32+1), core.Hint{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		h.Release()
+	}
+}

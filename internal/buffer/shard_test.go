@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -139,5 +140,73 @@ func TestPoolShardedEvictionUnderContention(t *testing.T) {
 	}
 	if got := p.Stats().Resident; got != 0 {
 		t.Fatalf("leaked pins kept %d pages resident after Drop of everything", got)
+	}
+}
+
+// TestPoolBorrowsFrameFromOtherShard pins every frame a shard owns and then
+// fetches one more of its pages: the frame comes from another shard, and
+// ErrPoolFull is left for a pool whose every frame is pinned.
+func TestPoolBorrowsFrameFromOtherShard(t *testing.T) {
+	be := newMemBackend(128)
+	p := New(be, 8, 128, nil)
+	p.Configure(Options{Shards: 2})
+	hot := p.shards[0]
+	var hotLPNs, coldLPNs []core.LPN
+	for lpn := core.LPN(1); len(hotLPNs) < 6 || len(coldLPNs) < 3; lpn++ {
+		if p.shardOf(lpn) == hot {
+			hotLPNs = append(hotLPNs, lpn)
+		} else {
+			coldLPNs = append(coldLPNs, lpn)
+		}
+	}
+	var pinned []*Handle
+	pin := func(lpn core.LPN) error {
+		h, _, err := p.NewPage(0, lpn, core.Hint{})
+		if err == nil {
+			pinned = append(pinned, h)
+		}
+		return err
+	}
+	// One cold page is resident but unpinned, so it is the one evicted.
+	if err := pin(coldLPNs[0]); err != nil {
+		t.Fatal(err)
+	}
+	pinned[0].Release()
+	pinned = pinned[:0]
+	for _, lpn := range hotLPNs[:4] {
+		if err := pin(lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, lpn := range hotLPNs[4:6] {
+		if err := pin(lpn); err != nil {
+			t.Fatalf("fetch into a fully pinned shard: %v", err)
+		}
+	}
+	if got := len(hot.frames); got != 6 {
+		t.Fatalf("hot shard has %d frames, want 6", got)
+	}
+	for _, lpn := range coldLPNs[1:3] {
+		if err := pin(lpn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := p.Stats(); st.Frames != 8 || st.Resident != 8 {
+		t.Fatalf("frames %d resident %d, want 8 and 8", st.Frames, st.Resident)
+	}
+	// Every frame is pinned now; the cold shard keeps one frame.
+	if _, _, err := p.Fetch(0, hotLPNs[0]+1000, core.Hint{}); !errors.Is(err, ErrPoolFull) {
+		t.Fatalf("fetch with every frame pinned: want ErrPoolFull, got %v", err)
+	}
+	for _, h := range pinned {
+		h.RLock()
+		lpn := h.LPN()
+		h.RUnlock()
+		h.Release()
+		if h2, _, err := p.Fetch(0, lpn, core.Hint{}); err != nil {
+			t.Fatalf("page %d lost after borrowing: %v", lpn, err)
+		} else {
+			h2.Release()
+		}
 	}
 }

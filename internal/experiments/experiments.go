@@ -122,6 +122,12 @@ func TPCCSetup(scale Scale) Setup {
 		}
 		pool = 192
 	}
+	// One driver goroutine multiplexes all terminals.  With a goroutine per
+	// terminal, shared resources (die horizons, lock queues) see requests in
+	// wall-clock arrival order, so the virtual-time metrics of the paper
+	// figures changed from run to run; with one they are reproducible.  The
+	// virtual multiprogramming level is still Terminals.
+	workload.Workers = 1
 	dbCfg := noftl.DefaultConfig()
 	dbCfg.Flash.Geometry = geo
 	dbCfg.BufferPoolPages = pool

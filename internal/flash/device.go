@@ -85,6 +85,10 @@ type blockState struct {
 type dieState struct {
 	mu     sync.Mutex
 	blocks []blockState
+	// spare holds page images returned by EraseBlock, reused by the next
+	// programs on the die so that a program does not allocate.  A spare
+	// image keeps its stale bytes; every reuse overwrites all of them.
+	spare [][]byte
 
 	// statistics (guarded by mu)
 	reads     int64
@@ -160,6 +164,23 @@ func (d *Device) Timing() Timing { return d.cfg.Timing }
 
 // Metrics returns the device metric set (operation counters).
 func (d *Device) Metrics() *metrics.Set { return d.set }
+
+// pageImage returns a PageSize buffer for a page of blk, taking it from the
+// die's spare images when one is left, and makes sure blk can store images.
+// Caller holds ds.mu.
+func (d *Device) pageImage(ds *dieState, blk *blockState) []byte {
+	if blk.data == nil {
+		blk.data = make([][]byte, d.geo.PagesPerBlock)
+	}
+	n := len(ds.spare)
+	if n == 0 {
+		return make([]byte, d.geo.PageSize)
+	}
+	img := ds.spare[n-1]
+	ds.spare[n-1] = nil
+	ds.spare = ds.spare[:n-1]
+	return img
+}
 
 // channel returns the channel resource serving a die.
 func (d *Device) channel(die int) *sim.Resource {
@@ -239,8 +260,9 @@ func (d *Device) ReadMeta(now sim.Time, addr Addr) (PageMeta, sim.Time, error) {
 
 // ProgramPage writes data and metadata to the erased page at addr.  The
 // payload must be exactly PageSize bytes (it may be nil when the device does
-// not store data).  Programming a non-erased page or violating the
-// sequential-programming constraint fails.
+// not store data).  The device copies data before returning, so the caller
+// may reuse the buffer at once.  Programming a non-erased page or violating
+// the sequential-programming constraint fails.
 func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta) (sim.Time, error) {
 	if !d.geo.ValidAddr(addr) {
 		return now, fmt.Errorf("%w: %v", ErrOutOfRange, addr)
@@ -277,12 +299,9 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 		blk.nextPage = addr.Page + 1
 	}
 	if d.cfg.StoreData && data != nil {
-		if blk.data == nil {
-			blk.data = make([][]byte, d.geo.PagesPerBlock)
-		}
-		cp := make([]byte, d.geo.PageSize)
-		copy(cp, data)
-		blk.data[addr.Page] = cp
+		img := d.pageImage(ds, blk)
+		copy(img, data)
+		blk.data[addr.Page] = img
 	}
 	ds.programs++
 	ds.mu.Unlock()
@@ -293,9 +312,10 @@ func (d *Device) ProgramPage(now sim.Time, addr Addr, data []byte, meta PageMeta
 	return done, nil
 }
 
-// EraseBlock erases a block, returning all of its pages to the erased state.
-// When the block reaches the configured endurance limit it is marked bad and
-// subsequent operations on it fail with ErrBadBlock.
+// EraseBlock erases a block, returning all of its pages to the erased state
+// and their images to the die's spare list.  When the block reaches the
+// configured endurance limit it is marked bad and subsequent operations on
+// it fail with ErrBadBlock.
 func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	if !d.geo.ValidBlock(b) {
 		return now, fmt.Errorf("%w: %v", ErrOutOfRange, b)
@@ -322,8 +342,11 @@ func (d *Device) EraseBlock(now sim.Time, b BlockAddr) (sim.Time, error) {
 	for i := range blk.states {
 		blk.states[i] = pageErased
 		blk.meta[i] = PageMeta{}
+		if blk.data != nil && blk.data[i] != nil {
+			ds.spare = append(ds.spare, blk.data[i])
+			blk.data[i] = nil
+		}
 	}
-	blk.data = nil
 	blk.nextPage = 0
 	blk.eraseCount++
 	if d.cfg.EraseEndurance > 0 && blk.eraseCount >= d.cfg.EraseEndurance {
@@ -381,12 +404,9 @@ func (d *Device) Copyback(now sim.Time, src, dst Addr) (PageMeta, sim.Time, erro
 		dblk.nextPage = dst.Page + 1
 	}
 	if d.cfg.StoreData && sblk.data != nil && sblk.data[src.Page] != nil {
-		if dblk.data == nil {
-			dblk.data = make([][]byte, d.geo.PagesPerBlock)
-		}
-		cp := make([]byte, d.geo.PageSize)
-		copy(cp, sblk.data[src.Page])
-		dblk.data[dst.Page] = cp
+		img := d.pageImage(ds, dblk)
+		copy(img, sblk.data[src.Page])
+		dblk.data[dst.Page] = img
 	}
 	ds.copybacks++
 	ds.mu.Unlock()
@@ -423,12 +443,10 @@ func (d *Device) programTorn(addr Addr, data []byte, meta PageMeta, tornBytes in
 	if addr.Page >= blk.nextPage {
 		blk.nextPage = addr.Page + 1
 	}
-	if blk.data == nil {
-		blk.data = make([][]byte, d.geo.PagesPerBlock)
-	}
-	cp := make([]byte, d.geo.PageSize)
-	copy(cp, data[:cut])
-	blk.data[addr.Page] = cp
+	img := d.pageImage(ds, blk)
+	copy(img, data[:cut])
+	clear(img[cut:])
+	blk.data[addr.Page] = img
 	ds.programs++
 	d.programs.Inc()
 }

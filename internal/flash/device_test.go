@@ -23,7 +23,7 @@ func testConfig() Config {
 	return cfg
 }
 
-func newTestDevice(t *testing.T, cfg Config) *Device {
+func newTestDevice(t testing.TB, cfg Config) *Device {
 	t.Helper()
 	d, err := NewDevice(cfg)
 	if err != nil {

@@ -310,71 +310,89 @@ func (s *Scheduler) dispatch(now sim.Time, reqs []Request) ([]Completion, sim.Ti
 	completions := make([]Completion, len(reqs))
 	end := now
 	for _, i := range order {
-		req := reqs[i]
-		c := Completion{Op: req.Op, Priority: req.Priority, Tag: req.Tag}
-		switch req.Op {
-		case OpReadPage:
-			c.Data, c.Meta, c.Done, c.Err = s.dev.ReadPage(now, req.Addr, req.Buf)
-		case OpReadMeta:
-			c.Meta, c.Done, c.Err = s.dev.ReadMeta(now, req.Addr)
-		case OpProgram:
-			c.Done, c.Err = s.dev.ProgramPage(now, req.Addr, req.Data, req.Meta)
-		case OpErase:
-			c.Done, c.Err = s.dev.EraseBlock(now, req.Block)
-		case OpCopyback:
-			c.Meta, c.Done, c.Err = s.dev.Copyback(now, req.Addr, req.Dst)
-		default:
-			c.Done = now
-		}
-		if c.Done > end {
-			end = c.Done
-		}
-		if d := req.die(); d >= 0 && d < len(s.busyUntil) {
-			for {
-				cur := s.busyUntil[d].Load()
-				if int64(c.Done) <= cur || s.busyUntil[d].CompareAndSwap(cur, int64(c.Done)) {
-					break
-				}
-			}
-		}
-		if c.Err == nil {
-			s.latByPrio[req.Priority].Observe(c.Done.Sub(now))
-			if s.promLat[req.Priority] != nil {
-				s.promLat[req.Priority].Observe(c.Done.Sub(now))
-			}
-		}
-		s.reqsByPrio[req.Priority].Inc()
-		if d := req.die(); s.promReqs[req.Priority] != nil && d >= 0 && d < len(s.promReqs[req.Priority]) {
-			s.promReqs[req.Priority][d].Inc()
-		}
-		if s.tracer.Enabled(obs.ClassFlash) && c.Err == nil {
-			ev := obs.Event{
-				Class: obs.ClassFlash,
-				Op:    uint8(req.Op),
-				Prio:  uint8(req.Priority),
-				Die:   int32(req.die()),
-				Start: now,
-				End:   c.Done,
-				A:     int64(req.Tag),
-			}
-			if req.Op == OpErase {
-				ev.Block, ev.Page = int32(req.Block.Block), -1
-			} else {
-				ev.Block, ev.Page = int32(req.Addr.Block), int32(req.Addr.Page)
-			}
-			ev.Region = -1
-			s.tracer.Record(ev)
-		}
-		completions[i] = c
+		completions[i] = s.execute(now, &reqs[i])
+		end = sim.MaxTime(end, completions[i].Done)
 	}
+	s.countBatch(now, end, len(reqs))
+	return completions, end
+}
+
+// dispatchOne dispatches a batch of one request.  It is dispatch without the
+// order, completion slice and sort a single request does not need, so the
+// one-page paths of the space manager allocate nothing.
+func (s *Scheduler) dispatchOne(now sim.Time, req Request) Completion {
+	c := s.execute(now, &req)
+	s.countBatch(now, sim.MaxTime(now, c.Done), 1)
+	return c
+}
+
+// execute performs one request against the device at now and accounts it in
+// the die horizon, the per-priority metrics and the trace.
+func (s *Scheduler) execute(now sim.Time, req *Request) Completion {
+	c := Completion{Op: req.Op, Priority: req.Priority, Tag: req.Tag}
+	switch req.Op {
+	case OpReadPage:
+		c.Data, c.Meta, c.Done, c.Err = s.dev.ReadPage(now, req.Addr, req.Buf)
+	case OpReadMeta:
+		c.Meta, c.Done, c.Err = s.dev.ReadMeta(now, req.Addr)
+	case OpProgram:
+		c.Done, c.Err = s.dev.ProgramPage(now, req.Addr, req.Data, req.Meta)
+	case OpErase:
+		c.Done, c.Err = s.dev.EraseBlock(now, req.Block)
+	case OpCopyback:
+		c.Meta, c.Done, c.Err = s.dev.Copyback(now, req.Addr, req.Dst)
+	default:
+		c.Done = now
+	}
+	d := req.die()
+	if d >= 0 && d < len(s.busyUntil) {
+		for {
+			cur := s.busyUntil[d].Load()
+			if int64(c.Done) <= cur || s.busyUntil[d].CompareAndSwap(cur, int64(c.Done)) {
+				break
+			}
+		}
+	}
+	if c.Err == nil {
+		s.latByPrio[req.Priority].Observe(c.Done.Sub(now))
+		if s.promLat[req.Priority] != nil {
+			s.promLat[req.Priority].Observe(c.Done.Sub(now))
+		}
+	}
+	s.reqsByPrio[req.Priority].Inc()
+	if s.promReqs[req.Priority] != nil && d >= 0 && d < len(s.promReqs[req.Priority]) {
+		s.promReqs[req.Priority][d].Inc()
+	}
+	if s.tracer.Enabled(obs.ClassFlash) && c.Err == nil {
+		ev := obs.Event{
+			Class: obs.ClassFlash,
+			Op:    uint8(req.Op),
+			Prio:  uint8(req.Priority),
+			Die:   int32(d),
+			Start: now,
+			End:   c.Done,
+			A:     int64(req.Tag),
+		}
+		if req.Op == OpErase {
+			ev.Block, ev.Page = int32(req.Block.Block), -1
+		} else {
+			ev.Block, ev.Page = int32(req.Addr.Block), int32(req.Addr.Page)
+		}
+		ev.Region = -1
+		s.tracer.Record(ev)
+	}
+	return c
+}
+
+// countBatch records one dispatched batch of n requests spanning now..end.
+func (s *Scheduler) countBatch(now, end sim.Time, n int) {
 	s.batches.Inc()
 	if s.promBatches != nil {
 		s.promBatches.Inc()
 	}
-	s.requests.Add(int64(len(reqs)))
-	s.maxBatch.SetMax(int64(len(reqs)))
+	s.requests.Add(int64(n))
+	s.maxBatch.SetMax(int64(n))
 	s.batchSpan.Observe(end.Sub(now))
-	return completions, end
 }
 
 // Enqueue adds a request to the pending queue without dispatching it and
@@ -484,30 +502,29 @@ func (s *Scheduler) ObserveGCStall() {
 // ---- single-request conveniences ----
 //
 // These keep the space manager's one-page paths on the scheduler (so every
-// flash command is accounted in the scheduler's metrics) without forcing
-// callers to build batches.
+// flash command is accounted in the scheduler's metrics, each as a batch of
+// one) without forcing callers to build batches.
 
 // Read performs one page read at the given priority.
 func (s *Scheduler) Read(now sim.Time, addr flash.Addr, buf []byte, prio Priority) ([]byte, flash.PageMeta, sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpReadPage, Addr: addr, Buf: buf, Priority: prio}})
-	c := cs[0]
+	c := s.dispatchOne(now, Request{Op: OpReadPage, Addr: addr, Buf: buf, Priority: prio})
 	return c.Data, c.Meta, c.Done, c.Err
 }
 
 // Program performs one page program at the given priority.
 func (s *Scheduler) Program(now sim.Time, addr flash.Addr, data []byte, meta flash.PageMeta, prio Priority) (sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpProgram, Addr: addr, Data: data, Meta: meta, Priority: prio}})
-	return cs[0].Done, cs[0].Err
+	c := s.dispatchOne(now, Request{Op: OpProgram, Addr: addr, Data: data, Meta: meta, Priority: prio})
+	return c.Done, c.Err
 }
 
 // Erase performs one block erase at the given priority.
 func (s *Scheduler) Erase(now sim.Time, b flash.BlockAddr, prio Priority) (sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpErase, Block: b, Priority: prio}})
-	return cs[0].Done, cs[0].Err
+	c := s.dispatchOne(now, Request{Op: OpErase, Block: b, Priority: prio})
+	return c.Done, c.Err
 }
 
 // Copyback performs one on-die page copy at GC priority.
 func (s *Scheduler) Copyback(now sim.Time, src, dst flash.Addr) (flash.PageMeta, sim.Time, error) {
-	cs, _ := s.Submit(now, []Request{{Op: OpCopyback, Addr: src, Dst: dst, Priority: PrioGC}})
-	return cs[0].Meta, cs[0].Done, cs[0].Err
+	c := s.dispatchOne(now, Request{Op: OpCopyback, Addr: src, Dst: dst, Priority: PrioGC})
+	return c.Meta, c.Done, c.Err
 }

@@ -406,3 +406,124 @@ func TestConcurrentSubmitters(t *testing.T) {
 		}
 	}
 }
+
+// TestSingleRequestAccountingMatchesBatchOfOne drives the same commands once
+// through the one-request calls and once as Submit batches of one: the
+// completions and every scheduler counter must agree.
+func TestSingleRequestAccountingMatchesBatchOfOne(t *testing.T) {
+	type result struct {
+		done sim.Time
+		err  error
+	}
+	run := func(single bool) ([]result, *Scheduler) {
+		dev := testDevice(t)
+		program(t, dev, 1, 2)
+		resetTime(dev)
+		s := New(dev)
+		payload := make([]byte, dev.Geometry().PageSize)
+		src := flash.Addr{Die: 1, Block: 0, Page: 1}
+		reqs := []Request{
+			{Op: OpReadPage, Addr: src, Priority: PrioHostRead},
+			{Op: OpProgram, Addr: flash.Addr{Die: 2, Block: 0, Page: 0}, Data: payload, Priority: PrioHostWrite},
+			{Op: OpCopyback, Addr: src, Dst: flash.Addr{Die: 1, Block: 1, Page: 0}, Priority: PrioGC},
+			{Op: OpErase, Block: flash.BlockAddr{Die: 1, Block: 0}, Priority: PrioGC},
+			{Op: OpReadPage, Addr: flash.Addr{Die: 3, Block: 0, Page: 0}, Priority: PrioHostRead}, // erased: fails
+		}
+		var out []result
+		now := sim.Time(0)
+		for _, r := range reqs {
+			var c result
+			if single {
+				switch r.Op {
+				case OpReadPage:
+					_, _, c.done, c.err = s.Read(now, r.Addr, nil, r.Priority)
+				case OpProgram:
+					c.done, c.err = s.Program(now, r.Addr, r.Data, r.Meta, r.Priority)
+				case OpCopyback:
+					_, c.done, c.err = s.Copyback(now, r.Addr, r.Dst)
+				case OpErase:
+					c.done, c.err = s.Erase(now, r.Block, r.Priority)
+				}
+			} else {
+				cs, _ := s.Submit(now, []Request{r})
+				c = result{cs[0].Done, cs[0].Err}
+			}
+			out = append(out, c)
+			now = sim.MaxTime(now, c.done)
+		}
+		return out, s
+	}
+	one, s1 := run(true)
+	batch, s2 := run(false)
+	for i := range one {
+		if one[i].done != batch[i].done || (one[i].err == nil) != (batch[i].err == nil) {
+			t.Fatalf("request %d: single %+v, batch %+v", i, one[i], batch[i])
+		}
+	}
+	if batch[len(batch)-1].err == nil {
+		t.Fatal("read of an erased page succeeded")
+	}
+	m1, m2 := s1.Metrics(), s2.Metrics()
+	if a, b := m1.CounterValues(), m2.CounterValues(); fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("counters differ:\nsingle %v\nbatch  %v", a, b)
+	}
+	if a, b := m1.Gauge("iosched.max_batch_size").Value(), m2.Gauge("iosched.max_batch_size").Value(); a != b || a != 1 {
+		t.Fatalf("max batch size: single %d, batch %d, want 1", a, b)
+	}
+	for _, h := range []string{"iosched.batch_span", "iosched.latency.host_read", "iosched.latency.host_write", "iosched.latency.gc"} {
+		a, b := m1.Histogram(h).Snapshot(), m2.Histogram(h).Snapshot()
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("%s differs: single %+v, batch %+v", h, a, b)
+		}
+	}
+}
+
+// TestSingleRequestAllocs pins the one-request paths the space manager uses
+// for every page read and program: they allocate nothing.
+func TestSingleRequestAllocs(t *testing.T) {
+	dev := testDevice(t)
+	s := New(dev)
+	geo := dev.Geometry()
+	payload := make([]byte, geo.PageSize)
+	buf := make([]byte, geo.PageSize)
+	blk := flash.BlockAddr{Die: 0, Block: 0}
+	cycle := func() {
+		for p := 0; p < geo.PagesPerBlock; p++ {
+			addr := flash.Addr{Die: 0, Block: 0, Page: p}
+			if _, err := s.Program(0, addr, payload, flash.PageMeta{LPN: uint64(p)}, PrioHostWrite); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, _, err := s.Read(0, addr, buf, PrioHostRead); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Erase(0, blk, PrioGC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Fatalf("program/read/erase cycle allocated %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkSchedulerProgram programs one page per op through the one-request
+// path, erasing the block each time it fills.
+func BenchmarkSchedulerProgram(b *testing.B) {
+	dev := testDevice(b)
+	s := New(dev)
+	geo := dev.Geometry()
+	payload := make([]byte, geo.PageSize)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := i % geo.PagesPerBlock
+		if _, err := s.Program(0, flash.Addr{Die: 0, Block: 0, Page: p}, payload, flash.PageMeta{LPN: uint64(i)}, PrioHostWrite); err != nil {
+			b.Fatal(err)
+		}
+		if p == geo.PagesPerBlock-1 {
+			if _, err := s.Erase(0, flash.BlockAddr{Die: 0, Block: 0}, PrioGC); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -3,6 +3,7 @@ package tpcc
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"noftl"
@@ -520,8 +521,11 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 	if lowO < 1 {
 		lowO = 1
 	}
-	// Collect the distinct items of the last 20 orders.
-	items := map[uint32]bool{}
+	// Collect the distinct items of the last 20 orders.  They are visited
+	// in item order, not map order: the stock lookups' page accesses drive
+	// buffer eviction and flash I/O, so a randomized order would make the
+	// simulated metrics differ from run to run.
+	var items []uint32
 	err = t.sch.OLIdx.Scan(tx, orderLineKey(w, d, lowO, 0), orderLineKey(w, d, nextO, 0),
 		func(_ []byte, rid noftl.RID) bool {
 			row, err := t.sch.OrderLine.Get(tx, rid)
@@ -532,15 +536,17 @@ func (t *terminal) stockLevel(tx *noftl.Tx) error {
 			if err != nil {
 				return false
 			}
-			items[ol.ItemID] = true
+			items = append(items, ol.ItemID)
 			return true
 		})
 	if err != nil {
 		return err
 	}
+	sort.Slice(items, func(i, j int) bool { return items[i] < items[j] })
+	items = slices.Compact(items)
 	// Count items whose stock is below the threshold.
 	low := 0
-	for itemID := range items {
+	for _, itemID := range items {
 		srid, found, err := t.sch.SIdx.Lookup(tx, stockKey(w, int(itemID)))
 		if err != nil || !found {
 			continue

@@ -17,6 +17,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -388,22 +389,20 @@ func (m *Manager) Aborted() int64   { return m.aborts.Load() }
 // Txn is one transaction.  It is owned by a single goroutine (a TPC-C
 // terminal); it is not safe for concurrent use.
 type Txn struct {
-	id      uint64
-	mgr     *Manager
-	cursor  *sim.Cursor
-	state   State
-	locks   []string
-	lockSet map[string]bool
-	start   sim.Time
+	id     uint64
+	mgr    *Manager
+	cursor sim.Cursor
+	state  State
+	locks  []string // keys held, each once
+	start  sim.Time
 }
 
 // Begin starts a transaction whose virtual clock begins at now.
 func (m *Manager) Begin(now sim.Time) *Txn {
 	id := m.nextID.Add(1)
 	m.started.Add(1)
-	cur := sim.NewCursor(m.clock)
-	cur.SetTo(now)
-	t := &Txn{id: id, mgr: m, cursor: cur, state: Active, lockSet: make(map[string]bool), start: now}
+	t := &Txn{id: id, mgr: m, cursor: *sim.NewCursor(m.clock), state: Active, start: now}
+	t.cursor.SetTo(now)
 	if m.log != nil {
 		_, _ = m.log.Append(wal.RecBegin, id, 0, nil)
 	}
@@ -439,8 +438,9 @@ func (t *Txn) Lock(key string, mode LockMode) error {
 	if err := t.mgr.lm.LockAt(t.cursor.Now(), t.id, key, mode); err != nil {
 		return err
 	}
-	if !t.lockSet[key] {
-		t.lockSet[key] = true
+	// A transaction holds a few dozen keys at most, so a linear search is
+	// cheaper than a set.
+	if !slices.Contains(t.locks, key) {
 		t.locks = append(t.locks, key)
 	}
 	return nil

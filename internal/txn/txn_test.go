@@ -379,3 +379,35 @@ func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
 		t.Fatalf("fallback fired too early: %v", el)
 	}
 }
+
+// TestTxnAllocs pins the allocations of a transaction that locks two keys
+// and commits through the WAL: the Txn itself and its lock list.  The
+// cursor lives in the Txn, and the lock list needs no set beside it.
+func TestTxnAllocs(t *testing.T) {
+	m := NewManager(NewLockManager(time.Second), testWAL(t), sim.NewClock())
+	keys := []string{"W:1", "D:1:3"}
+	now := sim.Time(0)
+	round := func() {
+		tx := m.Begin(now)
+		for _, k := range keys {
+			if err := tx.Lock(k, Exclusive); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Lock(keys[0], Exclusive); err != nil { // already held
+			t.Fatal(err)
+		}
+		done, err := tx.Commit()
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = done
+	}
+	for i := 0; i < 5000; i++ {
+		round()
+	}
+	const want = 3 // the Txn, then the lock list at one and at two keys
+	if allocs := testing.AllocsPerRun(1000, round); allocs != want {
+		t.Fatalf("begin + 2 locks + commit allocated %.1f times, want %d", allocs, want)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,8 +81,12 @@ var (
 
 const recHeaderSize = 8 + 1 + 8 + 4 + 4 + 4 // lsn, type, txn, obj, payloadLen, crc
 
-func encodeRecord(r Record) []byte {
-	out := make([]byte, recHeaderSize+len(r.Payload))
+// appendRecord appends the encoding of r to dst and returns the extended
+// slice.
+func appendRecord(dst []byte, r Record) []byte {
+	n := len(dst)
+	dst = slices.Grow(dst, recHeaderSize+len(r.Payload))[:n+recHeaderSize+len(r.Payload)]
+	out := dst[n:]
 	binary.LittleEndian.PutUint64(out[0:], r.LSN)
 	out[8] = byte(r.Type)
 	binary.LittleEndian.PutUint64(out[9:], r.TxnID)
@@ -91,7 +96,7 @@ func encodeRecord(r Record) []byte {
 	crc := crc32.ChecksumIEEE(out[:25])
 	crc = crc32.Update(crc, crc32.IEEETable, r.Payload)
 	binary.LittleEndian.PutUint32(out[25:], crc)
-	return out
+	return dst
 }
 
 func decodeRecord(b []byte) (Record, error) {
@@ -133,6 +138,15 @@ type Log struct {
 	sealedWr   []sealedPage
 	pages      []core.LPN          // every log page ever allocated, in order
 	pageMaxLSN map[core.LPN]uint64 // highest LSN stored in each sealed page
+
+	// Buffers reused so that appends and forces do not allocate.  enc is
+	// Append's record encoding and spare holds sealed page images already
+	// forced, which openPage reinitializes; both are guarded by mu.  snap is
+	// the flush leader's copy of the partial current page: only the leader
+	// touches it, also while mu is released for the device writes.
+	enc   []byte
+	spare [][]byte
+	snap  []byte
 
 	appended int64
 	flushes  int64
@@ -211,7 +225,13 @@ const flashFlagLog uint16 = 1
 
 func (l *Log) openPage() {
 	l.curLPN = l.mgr.AllocateLPNs(1)
-	l.cur = make([]byte, l.pageSize)
+	if n := len(l.spare); n > 0 {
+		l.cur = l.spare[n-1]
+		l.spare[n-1] = nil
+		l.spare = l.spare[:n-1]
+	} else {
+		l.cur = make([]byte, l.pageSize)
+	}
 	storage.InitPage(l.cur, storage.PageTypeLog, l.hint.ObjectID, uint64(l.curLPN))
 	l.pages = append(l.pages, l.curLPN)
 }
@@ -282,7 +302,10 @@ func (l *Log) Append(typ RecordType, txnID uint64, objectID uint32, payload []by
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	rec := Record{LSN: l.nextLSN, Type: typ, TxnID: txnID, ObjectID: objectID, Payload: payload}
-	enc := encodeRecord(rec)
+	// InsertRecord copies the encoding into the page, so one scratch buffer
+	// serves every Append.
+	l.enc = appendRecord(l.enc[:0], rec)
+	enc := l.enc
 	if len(enc) > l.pageSize-storage.PageHeaderSize-8 {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(enc))
 	}
@@ -381,7 +404,13 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 			if wait <= 0 {
 				break
 			}
-			timer := time.AfterFunc(wait, l.commitCond.Broadcast)
+			// The timer broadcasts under mu: it cannot run before this
+			// leader is parked in Wait, so its wakeup is never lost.
+			timer := time.AfterFunc(wait, func() {
+				l.mu.Lock()
+				l.commitCond.Broadcast()
+				l.mu.Unlock()
+			})
 			l.commitCond.Wait()
 			timer.Stop()
 		}
@@ -419,7 +448,8 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 	// writes run.  Records beyond the snapshot stay buffered for the next
 	// force; re-writing the page later simply supersedes this version out of
 	// place.
-	cur := append([]byte(nil), l.cur...)
+	l.snap = append(l.snap[:0], l.cur...)
+	cur := l.snap
 	start := flushNow
 	l.mu.Unlock()
 	vnow := flushNow
@@ -448,6 +478,11 @@ func (l *Log) flushGroupLocked() (sim.Time, error) {
 		// re-writes them.
 		l.sealedWr = append(sealed, l.sealedWr...)
 		return vnow, err
+	}
+	// The device copied every image it programmed, and a sealed page is
+	// never written again, so its buffer can hold a later page.
+	for _, sp := range sealed {
+		l.spare = append(l.spare, sp.data)
 	}
 	if hw > l.flushedLSN {
 		l.flushedLSN = hw

@@ -14,7 +14,7 @@ import (
 	"noftl/internal/sim"
 )
 
-func testLog(t *testing.T) (*Log, *core.Manager) {
+func testLog(t testing.TB) (*Log, *core.Manager) {
 	t.Helper()
 	cfg := flash.DefaultConfig()
 	cfg.Geometry = flash.Geometry{
@@ -32,7 +32,7 @@ func testLog(t *testing.T) (*Log, *core.Manager) {
 func TestRecordEncodeDecodeProperty(t *testing.T) {
 	f := func(lsn, txn uint64, obj uint32, typ uint8, payload []byte) bool {
 		r := Record{LSN: lsn, Type: RecordType(typ%7 + 1), TxnID: txn, ObjectID: obj, Payload: payload}
-		dec, err := decodeRecord(encodeRecord(r))
+		dec, err := decodeRecord(appendRecord(nil, r))
 		if err != nil {
 			return false
 		}
@@ -45,7 +45,7 @@ func TestRecordEncodeDecodeProperty(t *testing.T) {
 }
 
 func TestRecordCorruptionDetected(t *testing.T) {
-	enc := encodeRecord(Record{LSN: 1, Type: RecCommit, TxnID: 2, Payload: []byte("abc")})
+	enc := appendRecord(nil, Record{LSN: 1, Type: RecCommit, TxnID: 2, Payload: []byte("abc")})
 	enc[len(enc)-1] ^= 0xFF
 	if _, err := decodeRecord(enc); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("want ErrCorrupt, got %v", err)
@@ -54,7 +54,7 @@ func TestRecordCorruptionDetected(t *testing.T) {
 		t.Fatalf("short record: %v", err)
 	}
 	// Length mismatch.
-	enc2 := encodeRecord(Record{LSN: 1, Type: RecCommit, Payload: []byte("abc")})
+	enc2 := appendRecord(nil, Record{LSN: 1, Type: RecCommit, Payload: []byte("abc")})
 	if _, err := decodeRecord(enc2[:len(enc2)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated record: %v", err)
 	}
@@ -307,5 +307,92 @@ func TestCommitAlreadyDurable(t *testing.T) {
 	// Flush with nothing buffered is a no-op too.
 	if now, err := l.Flush(123); err != nil || now != 123 {
 		t.Fatalf("empty flush: now=%v err=%v", now, err)
+	}
+}
+
+// TestLoneCommitterWithLingerFinishes guards the group-commit linger against
+// a lost wakeup: a committer with nobody to group with lingers on every
+// commit, and the timer that ends the linger must always wake it.
+func TestLoneCommitterWithLingerFinishes(t *testing.T) {
+	l, _ := testLog(t)
+	l.SetGroupCommit(8, 50*time.Microsecond)
+	const rounds = 2000
+	finished := make(chan error, 1)
+	go func() {
+		now := sim.Time(0)
+		for i := 0; i < rounds; i++ {
+			lsn, err := l.Append(RecCommit, uint64(i+1), 0, nil)
+			if err != nil {
+				finished <- err
+				return
+			}
+			if now, err = l.Commit(now, lsn); err != nil {
+				finished <- err
+				return
+			}
+		}
+		finished <- nil
+	}()
+	select {
+	case err := <-finished:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Minute):
+		t.Fatalf("lone committer hung: %d of %d commits durable", l.FlushedLSN(), rounds)
+	}
+}
+
+// TestAppendCommitAllocs pins the lone committer's path: the record is
+// encoded into the log's scratch buffer and the force reuses the leader's
+// snapshot and the page images already forced, so in steady state an
+// Append plus Commit allocates nothing.  The log is truncated every 64
+// commits, as checkpoints do, and the warm-up runs until garbage collection
+// has erased blocks, whose page images the device then reuses.
+func TestAppendCommitAllocs(t *testing.T) {
+	l, _ := testLog(t)
+	payload := make([]byte, 40)
+	now := sim.Time(0)
+	txn := uint64(0)
+	round := func() {
+		txn++
+		lsn, err := l.Append(RecUpdate, txn, 7, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if now, err = l.Commit(now, lsn); err != nil {
+			t.Fatal(err)
+		}
+		if txn%64 == 0 {
+			l.Truncate(lsn)
+		}
+	}
+	for i := 0; i < 5000; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("append + commit allocated %.1f times, want 0", allocs)
+	}
+}
+
+// BenchmarkWALAppendCommit measures a lone committer's Append plus Commit,
+// with the log truncated every page so the device never fills.
+func BenchmarkWALAppendCommit(b *testing.B) {
+	l, _ := testLog(b)
+	payload := make([]byte, 40)
+	now := sim.Time(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lsn, err := l.Append(RecUpdate, uint64(i+1), 7, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if now, err = l.Commit(now, lsn); err != nil {
+			b.Fatal(err)
+		}
+		if i%64 == 63 {
+			l.Truncate(lsn)
+		}
 	}
 }
