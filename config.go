@@ -75,15 +75,11 @@ type Config struct {
 	// WAL enables write-ahead logging (commit durability and the log I/O
 	// stream the placement experiments include).
 	WAL bool
-	// WALCommitBatch and WALCommitDelay tune the WAL's group commit: a
-	// commit that finds a log force in flight always piggybacks on it, and
-	// when WALCommitBatch > 1 the force leader additionally lingers up to
-	// WALCommitDelay (wall clock) for that many committers to queue before
-	// forcing the log once for all of them.  Zero values keep piggybacking
-	// only (no linger).  See WithWALGroupCommit.
-	WALCommitBatch int
-	WALCommitDelay time.Duration
-	// LockTimeout is the lock-wait timeout used as a deadlock safety net.
+	// LockTimeout is the virtual-time budget of one lock wait: a waiter
+	// gives up with ErrConflict once releases of the contended key have
+	// advanced simulated time more than this past the start of its wait
+	// while the lock stayed unavailable.  Deadlocks do not wait for it; a
+	// wait that would close a waits-for cycle fails at once.
 	LockTimeout time.Duration
 	// CPUPerOp is the CPU time charged to a transaction for each row or
 	// index operation, so response times are not purely I/O.

@@ -112,9 +112,6 @@ func openWith(cfg Config, dev *flash.Device, space *core.Manager) (*DB, error) {
 		db.objStats.Register("WAL", "log", "SYSTEM")
 		db.log = wal.New(db.space, defTS.Hint(walObj, flash.FlagLog), dev.Geometry().PageSize)
 		db.log.AttachObs(db.tracer)
-		if cfg.WALCommitBatch > 0 || cfg.WALCommitDelay > 0 {
-			db.log.SetGroupCommit(cfg.WALCommitBatch, cfg.WALCommitDelay)
-		}
 	}
 	db.txns = txn.NewManager(txn.NewLockManager(cfg.LockTimeout), db.log, db.clock)
 	if cfg.MetricsAddr != "" {

@@ -6,10 +6,12 @@
 //
 //   - *DB is safe for concurrent use; transactions are cheap to start.
 //   - Explicit locks (Tx.Lock) serialize read-modify-write cycles.  A lock
-//     wait that times out (the deadlock safety net) surfaces as ErrConflict
-//     — the caller's move is to abort and retry.
-//   - WAL group commit (WithWALGroupCommit) lets simultaneous committers
-//     share one log force; the Stats() snapshot shows how many were grouped.
+//     wait that runs out of its virtual-time budget or would close a
+//     deadlock cycle surfaces as ErrConflict — the caller's move is to
+//     abort and retry.
+//   - WAL group commit is automatic: committers that arrive while a log
+//     force is in flight share the next one; the Stats() snapshot shows how
+//     many were grouped.
 package main
 
 import (
@@ -30,10 +32,7 @@ const (
 )
 
 func main() {
-	db, err := noftl.Open(
-		noftl.WithLockTimeout(100*time.Millisecond),
-		noftl.WithWALGroupCommit(8, 200*time.Microsecond),
-	)
+	db, err := noftl.Open(noftl.WithLockTimeout(100 * time.Millisecond))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -96,10 +96,7 @@ func TestWornBlockCampaign(t *testing.T) {
 // crashed leader's followers either all replay or all vanish, never a row of
 // one and not the other.
 func TestGroupCommitCrashAtomicity(t *testing.T) {
-	db, err := noftl.Open(
-		noftl.WithWALGroupCommit(8, 0),
-		noftl.WithCheckpointEvery(0, 64<<10),
-	)
+	db, err := noftl.Open(noftl.WithCheckpointEvery(0, 64<<10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,10 +140,9 @@ func TPCCSetup(scale Scale) Setup {
 	// exercised separately by the chaos experiment.
 	dbCfg.DisableSnapshotCheckpoints = true
 	// TPC-C terminals take locks in canonical order, so real deadlocks
-	// cannot form; the lock-wait timeout is purely a safety net.  Timeouts
-	// are virtual-time deterministic now, so host scheduling delays can no
-	// longer fire them spuriously — the generous value just keeps the
-	// simulated-time deadline far above any legitimate lock wait.
+	// cannot form.  The lock-wait timeout is a virtual-time budget, so host
+	// scheduling delays cannot fire it; the generous value just keeps it far
+	// above any legitimate lock wait.
 	dbCfg.LockTimeout = 60 * time.Second
 	return Setup{DB: dbCfg, TPCC: workload}
 }

@@ -66,9 +66,11 @@ func (r TPCCScalingResult) String() string {
 
 // RunTPCCScaling executes the scaling experiment: one TPC-C run with a
 // single driver goroutine and one with `workers` goroutines, on fresh
-// databases with identical configuration.  Group commit is enabled so the
-// parallel run can amortize log forces; the virtual-time multiprogramming
-// level (Terminals) is the same in both runs, so the virtual metrics remain
+// databases with identical configuration, so the two runs are like for like:
+// neither waits on a timer, and the parallel run amortizes log forces only
+// through the WAL's automatic group commit (committers that queue behind a
+// force share the next one).  The virtual-time multiprogramming level
+// (Terminals) is the same in both runs, so the virtual metrics remain
 // comparable and only wall-clock parallelism differs.
 func RunTPCCScaling(scale Scale, workers int) (TPCCScalingResult, error) {
 	if workers < 2 {
@@ -84,10 +86,6 @@ func RunTPCCScaling(scale Scale, workers int) (TPCCScalingResult, error) {
 			setup.TPCC.Terminals = workers
 		}
 		setup.TPCC.Workers = w
-		// Group commit: let up to 8 committers share one log force, with a
-		// short wall-clock linger for the group to fill.
-		setup.DB.WALCommitBatch = 8
-		setup.DB.WALCommitDelay = 200 * time.Microsecond
 		db, err := noftl.OpenConfig(setup.DB)
 		if err != nil {
 			return TPCCScalingRun{}, err

@@ -4,14 +4,15 @@
 //
 // The lock table is sharded by key hash, so concurrent transactions that
 // touch different keys almost never share a mutex.  Lock waits are real
-// (goroutine blocking), but the wait *timeout* is virtual-time-deterministic:
-// a waiter gives up when the contended key has seen more than the configured
-// budget of simulated time pass (measured from release to release) while the
-// lock stayed unavailable.  That makes ErrLockTimeout independent of host
-// speed and parallel test load; a generous wall-clock fallback remains as
-// the safety net for true deadlocks, where no release (and hence no virtual
-// progress on the key) ever happens.  TPC-C transactions acquire their locks
-// in a canonical order, so deadlocks cannot form in the benchmark itself.
+// (goroutine blocking) and read no wall clock.  A wait ends when the lock is
+// granted, when it runs out of its virtual budget (the contended key has
+// seen more than the timeout of simulated time pass, release to release,
+// while the lock stayed unavailable), or at once if it would close a cycle
+// in the waits-for graph (a deadlock).  A waiter behind a holder that never
+// finishes and never waits, such as another transaction on the same
+// goroutine, waits as it would on a sync.Mutex.  TPC-C transactions acquire
+// their locks in a canonical order, so deadlocks cannot form in the
+// benchmark itself.
 package txn
 
 import (
@@ -37,8 +38,9 @@ const (
 
 // Errors returned by the transaction manager.
 var (
-	// ErrLockTimeout reports a lock wait that exceeded the configured
-	// timeout (treated as a deadlock victim).
+	// ErrLockTimeout reports a lock wait that ran out of its virtual-time
+	// budget or would have closed a deadlock cycle (the requester is the
+	// victim).
 	ErrLockTimeout = errors.New("txn: lock wait timeout")
 	// ErrTxnDone reports an operation on a committed or aborted transaction.
 	ErrTxnDone = errors.New("txn: transaction already finished")
@@ -55,8 +57,7 @@ type lockState struct {
 	cond    *sync.Cond
 	readers map[uint64]int // txn id -> hold count
 	writer  uint64         // txn id holding exclusively, 0 if none
-	wcount  int
-	waiting int // transactions currently blocked on this key
+	waiters []uint64       // transactions currently blocked on this key
 	// maxRelease is the highest virtual time at which a holder released this
 	// key.  Waiters use it as the key's virtual-time frontier: when it moves
 	// past a waiter's deadline while the lock stays unavailable, the wait
@@ -82,42 +83,79 @@ func (sh *lockShard) state(key string) *lockState {
 	return ls
 }
 
+// waitsFor is the waits-for graph over blocked transactions: each blocked
+// transaction maps to the transactions it is waiting on.  A transaction
+// waits for at most one key at a time.  Only requests that block touch the
+// graph.  Lock order: a shard mutex, then mu; never the reverse.
+type waitsFor struct {
+	mu    sync.Mutex
+	edges map[uint64][]uint64
+}
+
+// block records that waiter is blocked by blockers, replacing its previous
+// edges.  If the new edges close a cycle, the waiter is taken out of the
+// graph again and block reports the deadlock.
+func (g *waitsFor) block(waiter uint64, blockers []uint64) (deadlock bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.edges[waiter] = blockers
+	seen := make(map[uint64]bool)
+	stack := slices.Clone(blockers)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if n == waiter {
+			delete(g.edges, waiter)
+			return true
+		}
+		if !seen[n] {
+			seen[n] = true
+			stack = append(stack, g.edges[n]...)
+		}
+	}
+	return false
+}
+
+// unblock takes waiter out of the graph once its wait is over.
+func (g *waitsFor) unblock(waiter uint64) {
+	g.mu.Lock()
+	delete(g.edges, waiter)
+	g.mu.Unlock()
+}
+
+// released drops the edges from waiters to txnID, which has just released
+// the key they are waiting on.  The waiters re-record their blockers when
+// the release wakes them; until then no stale edge can close a cycle.
+func (g *waitsFor) released(txnID uint64, waiters []uint64) {
+	g.mu.Lock()
+	for _, w := range waiters {
+		if e, ok := g.edges[w]; ok {
+			g.edges[w] = slices.DeleteFunc(e, func(b uint64) bool { return b == txnID })
+		}
+	}
+	g.mu.Unlock()
+}
+
 // LockManager implements strict two-phase locking over string keys.  All
 // methods are safe for concurrent use.
 type LockManager struct {
-	shards       [lockShards]lockShard
-	timeout      time.Duration // virtual-time wait budget (ns, 1:1 with sim time)
-	wallFallback time.Duration // wall-clock deadlock safety net
+	shards  [lockShards]lockShard
+	graph   waitsFor
+	timeout time.Duration // virtual-time wait budget (ns, 1:1 with sim time)
 }
 
-// NewLockManager creates a lock manager with the given wait timeout (zero
-// selects one second).  The timeout is interpreted in virtual time when the
-// caller provides a virtual-time context (LockAt); the wall-clock fallback
-// defaults to ten times the timeout, clamped to [1s, 60s].
+// NewLockManager creates a lock manager with the given virtual-time wait
+// budget (zero selects one second).
 func NewLockManager(timeout time.Duration) *LockManager {
 	if timeout <= 0 {
 		timeout = time.Second
 	}
-	fallback := 10 * timeout
-	if fallback < time.Second {
-		fallback = time.Second
-	}
-	if fallback > time.Minute {
-		fallback = time.Minute
-	}
-	lm := &LockManager{timeout: timeout, wallFallback: fallback}
+	lm := &LockManager{timeout: timeout}
+	lm.graph.edges = make(map[uint64][]uint64)
 	for i := range lm.shards {
 		lm.shards[i].locks = make(map[string]*lockState)
 	}
 	return lm
-}
-
-// SetWallFallback overrides the wall-clock deadlock safety net (tests use a
-// short fallback to exercise it quickly).
-func (lm *LockManager) SetWallFallback(d time.Duration) {
-	if d > 0 {
-		lm.wallFallback = d
-	}
 }
 
 // shard maps a key to its lock-table shard (FNV-1a).
@@ -130,28 +168,11 @@ func (lm *LockManager) shard(key string) *lockShard {
 	return &lm.shards[h%lockShards]
 }
 
-// Waits returns the number of lock acquisitions that had to wait.
-func (lm *LockManager) Waits() int64 {
-	var n int64
-	for i := range lm.shards {
-		n += lm.shards[i].waits.Load()
-	}
-	return n
-}
-
-// Timeouts returns the number of lock waits that ended in ErrLockTimeout.
-func (lm *LockManager) Timeouts() int64 {
-	var n int64
-	for i := range lm.shards {
-		n += lm.shards[i].timeouts.Load()
-	}
-	return n
-}
-
 // LockStats is a snapshot of lock-manager contention counters.
 type LockStats struct {
 	// Waits counts lock acquisitions that had to block; Timeouts counts
-	// waits that ended in ErrLockTimeout.
+	// waits that ended in ErrLockTimeout (virtual timeouts and deadlock
+	// victims).
 	Waits    int64
 	Timeouts int64
 	// Held is the number of keys currently locked (shared or exclusive);
@@ -176,100 +197,112 @@ func (lm *LockManager) Stats() LockStats {
 			if ls.writer != 0 || len(ls.readers) > 0 {
 				st.Held++
 			}
-			st.Waiting += int64(ls.waiting)
+			st.Waiting += int64(len(ls.waiters))
 		}
 		sh.mu.Unlock()
 	}
 	return st
 }
 
-// Lock acquires key in the given mode on behalf of txnID with no virtual-time
-// context: the timeout is then a plain wall-clock deadline.  Engine code
-// should prefer LockAt, which makes the timeout virtual-time-deterministic.
-func (lm *LockManager) Lock(txnID uint64, key string, mode LockMode) error {
-	return lm.lock(-1, txnID, key, mode)
-}
-
 // LockAt acquires key in the given mode on behalf of txnID, whose current
-// virtual time is now, blocking until the lock is granted or the wait times
-// out.  Re-acquiring a lock already held (including upgrading shared to
-// exclusive when the transaction is the sole reader) succeeds.
+// virtual time is now, blocking until the lock is granted, the wait times
+// out or the wait would deadlock.  Re-acquiring a lock already held
+// (including upgrading shared to exclusive when the transaction is the sole
+// reader) succeeds.
 //
 // The wait deadline is virtual: it expires when the key's release frontier
 // (the highest virtual time of any release of this key) moves more than the
 // configured timeout past the frontier observed when the wait began, while
-// the lock remains unavailable.  A wall-clock fallback (SetWallFallback)
-// catches deadlocks, where the frontier never moves.
+// the lock remains unavailable.  Deadlocks, where the frontier never moves,
+// are caught by the waits-for graph instead: whenever the request blocks
+// (and again on every wake-up) it records the transactions blocking it, and
+// fails with ErrLockTimeout if that closes a cycle.
 func (lm *LockManager) LockAt(now sim.Time, txnID uint64, key string, mode LockMode) error {
 	if now < 0 {
 		now = 0
 	}
-	return lm.lock(now, txnID, key, mode)
-}
-
-// lock is the shared wait loop.  now < 0 means "no virtual context" (wall
-// deadline = timeout, the legacy behaviour).
-func (lm *LockManager) lock(now sim.Time, txnID uint64, key string, mode LockMode) error {
 	sh := lm.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ls := sh.state(key)
 	waited := false
-	vdeadline := sim.Time(-1)
-	var wallDeadline time.Time
+	var deadline sim.Time
 	for {
 		holder := ls.writer == txnID || ls.readers[txnID] > 0
 		// A newly arriving request yields to transactions that are already
 		// waiting (simple fairness, so a hot lock cannot starve a waiter),
 		// unless the transaction already holds the lock.
-		barge := !holder && !waited && ls.waiting > 0
+		barge := !holder && !waited && len(ls.waiters) > 0
 		if !barge && grantable(ls, txnID, mode) {
 			if mode == Exclusive {
 				ls.writer = txnID
-				ls.wcount++
 				delete(ls.readers, txnID) // upgrade consumes the shared hold
 			} else {
 				ls.readers[txnID]++
 			}
 			if waited {
-				ls.waiting--
+				ls.stopWaiting(txnID)
+				lm.graph.unblock(txnID)
 			}
 			return nil
 		}
+		var err error
 		if !waited {
 			waited = true
 			sh.waits.Add(1)
-			ls.waiting++
-			if now >= 0 {
-				// Anchor the virtual deadline to the key's release frontier,
-				// not just the waiter's own cursor: cursors of independent
-				// workers drift apart, and a waiter behind the frontier must
-				// still be given a full timeout of *future* virtual activity.
-				anchor := now
-				if ls.maxRelease > anchor {
-					anchor = ls.maxRelease
-				}
-				vdeadline = anchor.Add(lm.timeout)
-				wallDeadline = time.Now().Add(lm.wallFallback)
-			} else {
-				wallDeadline = time.Now().Add(lm.timeout)
-			}
-		} else {
-			timedOut := vdeadline >= 0 && ls.maxRelease > vdeadline
-			if !timedOut && time.Now().After(wallDeadline) {
-				timedOut = true
-			}
-			if timedOut {
-				ls.waiting--
-				sh.timeouts.Add(1)
-				return fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
+			ls.waiters = append(ls.waiters, txnID)
+			// Anchor the virtual deadline to the key's release frontier, not
+			// just the waiter's own cursor: cursors of independent workers
+			// drift apart, and a waiter behind the frontier must still be
+			// given a full timeout of *future* virtual activity.
+			deadline = max(now, ls.maxRelease).Add(lm.timeout)
+		} else if ls.maxRelease > deadline {
+			err = fmt.Errorf("%w: txn %d key %q", ErrLockTimeout, txnID, key)
+		}
+		if err == nil && lm.graph.block(txnID, ls.blockers(txnID, barge)) {
+			err = fmt.Errorf("%w: deadlock: txn %d key %q", ErrLockTimeout, txnID, key)
+		}
+		if err != nil {
+			ls.stopWaiting(txnID)
+			lm.graph.unblock(txnID)
+			// Requests that yielded to this one look again: no release may
+			// ever come to wake them.
+			ls.cond.Broadcast()
+			sh.timeouts.Add(1)
+			return err
+		}
+		ls.cond.Wait()
+	}
+}
+
+// blockers lists the transactions txnID is waiting on: the key's other
+// holders and, for a request yielding to earlier waiters, those waiters as
+// well.  Caller holds the shard mutex.
+func (ls *lockState) blockers(txnID uint64, yielding bool) []uint64 {
+	var out []uint64
+	if ls.writer != 0 && ls.writer != txnID {
+		out = append(out, ls.writer)
+	}
+	for r := range ls.readers {
+		if r != txnID {
+			out = append(out, r)
+		}
+	}
+	if yielding {
+		for _, w := range ls.waiters {
+			if w != txnID {
+				out = append(out, w)
 			}
 		}
-		// Wake ourselves up at the wall deadline so the fallback is honoured
-		// even if nobody ever releases the lock.
-		timer := time.AfterFunc(time.Until(wallDeadline), ls.cond.Broadcast)
-		ls.cond.Wait()
-		timer.Stop()
+	}
+	return out
+}
+
+// stopWaiting removes txnID from the key's waiters.  Caller holds the shard
+// mutex.
+func (ls *lockState) stopWaiting(txnID uint64) {
+	if i := slices.Index(ls.waiters, txnID); i >= 0 {
+		ls.waiters = slices.Delete(ls.waiters, i, i+1)
 	}
 }
 
@@ -291,20 +324,10 @@ func grantable(ls *lockState, txnID uint64, mode LockMode) bool {
 	return true
 }
 
-// ReleaseAll releases every lock held by txnID without publishing a virtual
-// release time (the keys' virtual frontiers stay put).
-func (lm *LockManager) ReleaseAll(txnID uint64, keys []string) {
-	lm.releaseAll(-1, txnID, keys)
-}
-
 // ReleaseAllAt releases every lock held by txnID and advances each key's
 // virtual release frontier to now, which is what drives waiters' virtual
 // timeouts forward.
 func (lm *LockManager) ReleaseAllAt(now sim.Time, txnID uint64, keys []string) {
-	lm.releaseAll(now, txnID, keys)
-}
-
-func (lm *LockManager) releaseAll(now sim.Time, txnID uint64, keys []string) {
 	for _, key := range keys {
 		sh := lm.shard(key)
 		sh.mu.Lock()
@@ -313,18 +336,20 @@ func (lm *LockManager) releaseAll(now sim.Time, txnID uint64, keys []string) {
 			sh.mu.Unlock()
 			continue
 		}
-		// ReleaseAll is only called at commit/abort (strict two-phase
+		// ReleaseAllAt is only called at commit/abort (strict two-phase
 		// locking), so every hold the transaction has on the key is dropped
 		// at once, however many times it re-acquired the lock.
 		if ls.writer == txnID {
 			ls.writer = 0
-			ls.wcount = 0
 		}
 		delete(ls.readers, txnID)
 		if now > ls.maxRelease {
 			ls.maxRelease = now
 		}
-		ls.cond.Broadcast()
+		if len(ls.waiters) > 0 {
+			lm.graph.released(txnID, ls.waiters)
+			ls.cond.Broadcast()
+		}
 		sh.mu.Unlock()
 	}
 }

@@ -2,6 +2,8 @@ package txn
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -30,62 +32,109 @@ func testWAL(t *testing.T) *wal.Log {
 func TestLockManagerSharedAndExclusive(t *testing.T) {
 	lm := NewLockManager(time.Second)
 	// Two readers coexist.
-	if err := lm.Lock(1, "k", Shared); err != nil {
+	if err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	if err := lm.Lock(2, "k", Shared); err != nil {
+	if err := lm.LockAt(0, 2, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	// A writer must wait; with a short timeout it gives up.
+	// A writer must wait; with a short virtual budget it gives up once
+	// releases of the key carry virtual time past the budget while the lock
+	// stays unavailable.
 	short := NewLockManager(50 * time.Millisecond)
-	if err := short.Lock(1, "x", Exclusive); err != nil {
-		t.Fatal(err)
+	for _, id := range []uint64{1, 3, 5} {
+		if err := short.LockAt(0, id, "x", Shared); err != nil {
+			t.Fatal(err)
+		}
 	}
-	start := time.Now()
-	err := short.Lock(2, "x", Exclusive)
-	if !errors.Is(err, ErrLockTimeout) {
+	errCh := lockAsync(short, 0, 2, "x", Exclusive)
+	waitBlocked(t, short, 1)
+	// Reader 3 leaves at 40 ms: still inside the writer's 50 ms budget.
+	short.ReleaseAllAt(sim.Time(40*time.Millisecond), 3, []string{"x"})
+	select {
+	case err := <-errCh:
+		t.Fatalf("timeout returned too early: %v", err)
+	case <-time.After(5 * time.Millisecond):
+	}
+	// Reader 5 leaves at 60 ms while reader 1 still holds: budget spent.
+	short.ReleaseAllAt(sim.Time(60*time.Millisecond), 5, []string{"x"})
+	if err := <-errCh; !errors.Is(err, ErrLockTimeout) {
 		t.Fatalf("want ErrLockTimeout, got %v", err)
 	}
-	if time.Since(start) < 40*time.Millisecond {
-		t.Fatal("timeout returned too early")
-	}
-	if short.Waits() == 0 {
+	if short.Stats().Waits == 0 {
 		t.Fatal("wait not counted")
 	}
 	// Releasing lets the writer in.
-	short.ReleaseAll(1, []string{"x"})
-	if err := short.Lock(2, "x", Exclusive); err != nil {
+	short.ReleaseAllAt(sim.Time(60*time.Millisecond), 1, []string{"x"})
+	if err := short.LockAt(sim.Time(60*time.Millisecond), 2, "x", Exclusive); err != nil {
 		t.Fatalf("lock after release: %v", err)
 	}
 	// Re-acquiring an already-held lock succeeds, as does upgrading when the
 	// transaction is the only reader.
-	if err := lm.Lock(1, "k", Shared); err != nil {
+	if err := lm.LockAt(0, 1, "k", Shared); err != nil {
 		t.Fatal(err)
 	}
-	lm.ReleaseAll(2, []string{"k"})
-	if err := lm.Lock(1, "k", Exclusive); err != nil {
+	lm.ReleaseAllAt(0, 2, []string{"k"})
+	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("upgrade failed: %v", err)
 	}
-	if err := lm.Lock(1, "k", Exclusive); err != nil {
+	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatalf("re-acquire failed: %v", err)
+	}
+}
+
+// lockAsync requests key on behalf of txnID from a new goroutine and
+// delivers the outcome on the returned channel.
+func lockAsync(lm *LockManager, now sim.Time, txnID uint64, key string, mode LockMode) <-chan error {
+	ch := make(chan error, 1)
+	go func() { ch <- lm.LockAt(now, txnID, key, mode) }()
+	return ch
+}
+
+// waitBlocked spins until n transactions are blocked in lm.  A request is
+// counted as blocked only after it has recorded its waits-for edges, since
+// both happen under the same shard mutex.  The deadline only bounds a
+// broken test run.
+func waitBlocked(t *testing.T, lm *LockManager, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for lm.Stats().Waiting != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d transactions blocked, want %d", lm.Stats().Waiting, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// granted waits for the outcome of an asynchronous request that must
+// succeed.  The deadline only bounds a broken test run.
+func granted(t *testing.T, ch <-chan error, who string) {
+	t.Helper()
+	select {
+	case err := <-ch:
+		if err != nil {
+			t.Fatalf("%s: %v", who, err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s was never granted", who)
 	}
 }
 
 func TestLockManagerBlocksThenGrants(t *testing.T) {
 	lm := NewLockManager(2 * time.Second)
-	if err := lm.Lock(1, "row", Exclusive); err != nil {
+	if err := lm.LockAt(0, 1, "row", Exclusive); err != nil {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
 	go func() {
-		acquired <- lm.Lock(2, "row", Exclusive)
+		acquired <- lm.LockAt(0, 2, "row", Exclusive)
 	}()
 	select {
 	case err := <-acquired:
 		t.Fatalf("lock granted while held: %v", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-	lm.ReleaseAll(1, []string{"row"})
+	lm.ReleaseAllAt(0, 1, []string{"row"})
 	select {
 	case err := <-acquired:
 		if err != nil {
@@ -105,12 +154,12 @@ func TestLockManagerConcurrentCounter(t *testing.T) {
 		go func(id uint64) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if err := lm.Lock(id, "counter", Exclusive); err != nil {
+				if err := lm.LockAt(0, id, "counter", Exclusive); err != nil {
 					t.Error(err)
 					return
 				}
 				counter++
-				lm.ReleaseAll(id, []string{"counter"})
+				lm.ReleaseAllAt(0, id, []string{"counter"})
 			}
 		}(uint64(w + 1))
 	}
@@ -223,7 +272,6 @@ func TestConcurrentTransactionsSerializeOnLock(t *testing.T) {
 // its deadline, and survives any amount of wall-clock waiting short of that.
 func TestLockVirtualTimeoutDeterministic(t *testing.T) {
 	lm := NewLockManager(time.Millisecond) // 1 ms of virtual time
-	lm.SetWallFallback(30 * time.Second)   // fallback far away: virtual path must fire
 
 	if err := lm.LockAt(0, 1, "k", Exclusive); err != nil {
 		t.Fatal(err)
@@ -361,22 +409,97 @@ func TestLockManagerShardedStress(t *testing.T) {
 	}
 }
 
-// TestLockWallFallbackCatchesDeadlock checks the wall-clock safety net: when
-// no release ever advances the key's virtual frontier (a deadlock), the
-// waiter still gets ErrLockTimeout after the fallback.
-func TestLockWallFallbackCatchesDeadlock(t *testing.T) {
-	lm := NewLockManager(time.Millisecond)
-	lm.SetWallFallback(20 * time.Millisecond)
-	if err := lm.LockAt(0, 1, "dead", Exclusive); err != nil {
+// TestLockDeadlockDetected builds true waits-for cycles.  In each, the
+// request that closes the cycle fails at once with ErrLockTimeout: nothing
+// is released and no virtual or wall-clock deadline passes (the budget is an
+// hour of virtual time and the frontier never moves).  The other waiters
+// keep waiting, and the survivor is granted once the victim releases.
+func TestLockDeadlockDetected(t *testing.T) {
+	setup := func(t *testing.T, holds ...any) *LockManager {
+		t.Helper()
+		lm := NewLockManager(time.Hour)
+		for i := 0; i < len(holds); i += 3 {
+			if err := lm.LockAt(0, holds[i].(uint64), holds[i+1].(string), holds[i+2].(LockMode)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return lm
+	}
+	victim := func(t *testing.T, lm *LockManager, txnID uint64, key string, mode LockMode, blocked int64) {
+		t.Helper()
+		var err error
+		select {
+		case err = <-lockAsync(lm, 0, txnID, key, mode):
+		case <-time.After(10 * time.Second):
+			t.Fatalf("txn %d: deadlock not detected", txnID)
+		}
+		if !errors.Is(err, ErrLockTimeout) || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("txn %d: want deadlock ErrLockTimeout, got %v", txnID, err)
+		}
+		st := lm.Stats()
+		if st.Timeouts != 1 || st.Waiting != blocked {
+			t.Fatalf("after the victim: timeouts=%d waiting=%d, want 1 and %d", st.Timeouts, st.Waiting, blocked)
+		}
+	}
+
+	t.Run("two keys crossing", func(t *testing.T) {
+		lm := setup(t, uint64(1), "a", Exclusive, uint64(2), "b", Exclusive)
+		survivor := lockAsync(lm, 0, 1, "b", Exclusive)
+		waitBlocked(t, lm, 1)
+		victim(t, lm, 2, "a", Exclusive, 1)
+		lm.ReleaseAllAt(0, 2, []string{"b"})
+		granted(t, survivor, "txn 1")
+	})
+
+	t.Run("three-transaction ring", func(t *testing.T) {
+		lm := setup(t, uint64(1), "a", Exclusive, uint64(2), "b", Exclusive, uint64(3), "c", Exclusive)
+		first := lockAsync(lm, 0, 1, "b", Exclusive)
+		waitBlocked(t, lm, 1)
+		second := lockAsync(lm, 0, 2, "c", Exclusive)
+		waitBlocked(t, lm, 2)
+		victim(t, lm, 3, "a", Exclusive, 2)
+		lm.ReleaseAllAt(0, 3, []string{"c"})
+		granted(t, second, "txn 2")
+		lm.ReleaseAllAt(0, 2, []string{"b", "c"})
+		granted(t, first, "txn 1")
+	})
+
+	t.Run("shared holders both upgrade", func(t *testing.T) {
+		lm := setup(t, uint64(1), "k", Shared, uint64(2), "k", Shared)
+		survivor := lockAsync(lm, 0, 1, "k", Exclusive)
+		waitBlocked(t, lm, 1)
+		victim(t, lm, 2, "k", Exclusive, 1)
+		lm.ReleaseAllAt(0, 2, []string{"k"})
+		granted(t, survivor, "txn 1")
+	})
+}
+
+// TestLockWaitChainIsNoDeadlock checks that a chain of waits without a
+// cycle is left alone: txn 3 waits for txn 2, which waits for txn 1, and
+// all three complete once the chain unwinds.
+func TestLockWaitChainIsNoDeadlock(t *testing.T) {
+	lm := NewLockManager(time.Hour)
+	if err := lm.LockAt(0, 1, "a", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	err := lm.LockAt(0, 2, "dead", Exclusive)
-	if !errors.Is(err, ErrLockTimeout) {
-		t.Fatalf("want ErrLockTimeout, got %v", err)
+	if err := lm.LockAt(0, 2, "b", Exclusive); err != nil {
+		t.Fatal(err)
 	}
-	if el := time.Since(start); el < 15*time.Millisecond {
-		t.Fatalf("fallback fired too early: %v", el)
+	second := lockAsync(lm, 0, 2, "a", Exclusive)
+	waitBlocked(t, lm, 1)
+	third := lockAsync(lm, 0, 3, "b", Shared)
+	waitBlocked(t, lm, 2)
+	// The head of the chain can still take new locks.
+	if err := lm.LockAt(0, 1, "c", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	lm.ReleaseAllAt(0, 1, []string{"a", "c"})
+	granted(t, second, "txn 2")
+	lm.ReleaseAllAt(0, 2, []string{"a", "b"})
+	granted(t, third, "txn 3")
+	lm.ReleaseAllAt(0, 3, []string{"b"})
+	if st := lm.Stats(); st.Timeouts != 0 || st.Waits != 2 || st.Held != 0 {
+		t.Fatalf("chain without a cycle: %+v", st)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"noftl/internal/core"
 	"noftl/internal/obs"
@@ -162,14 +162,15 @@ type Log struct {
 
 	// Group commit.  Committers queue behind a single flush leader; the
 	// leader forces everything appended so far with one device write chain,
-	// making all queued commit records durable at once.  commitBatch and
-	// commitDelay let the leader linger (wall clock) for more committers to
-	// join before flushing.
+	// making all queued commit records durable at once.  Committers that
+	// queue while a force is in flight are made durable by the next one,
+	// and a new leader yields once to let runnable committers queue
+	// (gatherLocked).
 	commitCond    *sync.Cond
 	flushLeader   bool
 	commitPending int
-	commitBatch   int
-	commitDelay   time.Duration
+	yieldGap      int      // forces between the leader's yields (see gatherLocked)
+	yieldIn       int      // forces left until the next yield
 	groupMaxNow   sim.Time // max virtual time across the forming group
 	flushDoneAt   sim.Time // virtual end of the latest flush
 	groupCommits  int64    // flushes that made more than one committer durable
@@ -187,36 +188,17 @@ type sealedPage struct {
 // (normally the hint of the log object's tablespace).
 func New(mgr *core.Manager, hint core.Hint, pageSize int) *Log {
 	l := &Log{
-		mgr:         mgr,
-		hint:        hint,
-		pageSize:    pageSize,
-		nextLSN:     1,
-		pageMaxLSN:  make(map[core.LPN]uint64),
-		pageBytes:   make(map[core.LPN]int64),
-		commitBatch: 1,
+		mgr:        mgr,
+		hint:       hint,
+		pageSize:   pageSize,
+		nextLSN:    1,
+		pageMaxLSN: make(map[core.LPN]uint64),
+		pageBytes:  make(map[core.LPN]int64),
 	}
 	l.commitCond = sync.NewCond(&l.mu)
 	l.hint.Flags |= flashFlagLog
 	l.openPage()
 	return l
-}
-
-// SetGroupCommit configures the group-commit window: a flush leader lingers
-// up to delay (wall clock) for up to batch committers to queue before forcing
-// the log.  batch <= 1 or delay <= 0 disables the linger; committers then
-// still piggyback on an in-flight flush, they just never wait for one to
-// form.  Configure before the log sees concurrent commits.
-func (l *Log) SetGroupCommit(batch int, delay time.Duration) {
-	l.mu.Lock()
-	if batch < 1 {
-		batch = 1
-	}
-	l.commitBatch = batch
-	if delay < 0 {
-		delay = 0
-	}
-	l.commitDelay = delay
-	l.mu.Unlock()
 }
 
 // flashFlagLog mirrors flash.FlagLog without importing the flash package
@@ -380,10 +362,6 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 	}
 	l.commitPending++
 	defer func() { l.commitPending-- }()
-	if l.flushLeader {
-		// Wake a leader lingering for its group to fill.
-		l.commitCond.Broadcast()
-	}
 	for {
 		if l.flushedLSN >= lsn {
 			l.groupedTxns++
@@ -396,25 +374,7 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 	}
 	// We are the flush leader for this group.
 	l.flushLeader = true
-	if l.commitBatch > 1 && l.commitDelay > 0 {
-		// Linger (wall clock) for more committers, bounded by the window.
-		deadline := time.Now().Add(l.commitDelay)
-		for l.commitPending < l.commitBatch {
-			wait := time.Until(deadline)
-			if wait <= 0 {
-				break
-			}
-			// The timer broadcasts under mu: it cannot run before this
-			// leader is parked in Wait, so its wakeup is never lost.
-			timer := time.AfterFunc(wait, func() {
-				l.mu.Lock()
-				l.commitCond.Broadcast()
-				l.mu.Unlock()
-			})
-			l.commitCond.Wait()
-			timer.Stop()
-		}
-	}
+	l.gatherLocked()
 	grouped := int64(l.commitPending)
 	done, err := l.flushGroupLocked()
 	l.flushLeader = false
@@ -427,6 +387,33 @@ func (l *Log) Commit(now sim.Time, lsn uint64) (sim.Time, error) {
 		l.groupCommits++
 	}
 	return sim.MaxTime(now, done), nil
+}
+
+// maxYieldGap bounds how many forces a leader skips yielding after yields
+// that gathered no other committer.
+const maxYieldGap = 64
+
+// gatherLocked lets a new flush leader collect its group without a timer:
+// it yields the processor once, so committers that are runnable but not yet
+// scheduled append their records and queue behind this force instead of
+// each forcing alone.  A yield that gathers nobody doubles the number of
+// forces until the next one (up to maxYieldGap), so a lone committer almost
+// never pays for it; one that gathers a group resets the gap.  Caller holds
+// l.mu and has claimed flush leadership.
+func (l *Log) gatherLocked() {
+	if l.yieldIn > 0 {
+		l.yieldIn--
+		return
+	}
+	l.mu.Unlock()
+	runtime.Gosched()
+	l.mu.Lock()
+	if l.commitPending > 1 {
+		l.yieldGap = 0
+	} else {
+		l.yieldGap = min(max(1, 2*l.yieldGap), maxYieldGap)
+	}
+	l.yieldIn = l.yieldGap
 }
 
 // flushGroupLocked forces everything appended so far.  Caller holds l.mu and

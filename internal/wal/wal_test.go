@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"noftl/internal/core"
 	"noftl/internal/flash"
@@ -212,7 +211,6 @@ func TestTruncateDropsOldPages(t *testing.T) {
 // (c) the committers shared flushes: far fewer log forces than commits.
 func TestGroupCommitConcurrent(t *testing.T) {
 	l, _ := testLog(t)
-	l.SetGroupCommit(8, 2*time.Millisecond)
 	const workers = 8
 	const perWorker = 50
 	var wg sync.WaitGroup
@@ -307,39 +305,6 @@ func TestCommitAlreadyDurable(t *testing.T) {
 	// Flush with nothing buffered is a no-op too.
 	if now, err := l.Flush(123); err != nil || now != 123 {
 		t.Fatalf("empty flush: now=%v err=%v", now, err)
-	}
-}
-
-// TestLoneCommitterWithLingerFinishes guards the group-commit linger against
-// a lost wakeup: a committer with nobody to group with lingers on every
-// commit, and the timer that ends the linger must always wake it.
-func TestLoneCommitterWithLingerFinishes(t *testing.T) {
-	l, _ := testLog(t)
-	l.SetGroupCommit(8, 50*time.Microsecond)
-	const rounds = 2000
-	finished := make(chan error, 1)
-	go func() {
-		now := sim.Time(0)
-		for i := 0; i < rounds; i++ {
-			lsn, err := l.Append(RecCommit, uint64(i+1), 0, nil)
-			if err != nil {
-				finished <- err
-				return
-			}
-			if now, err = l.Commit(now, lsn); err != nil {
-				finished <- err
-				return
-			}
-		}
-		finished <- nil
-	}()
-	select {
-	case err := <-finished:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Minute):
-		t.Fatalf("lone committer hung: %d of %d commits durable", l.FlushedLSN(), rounds)
 	}
 }
 

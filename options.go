@@ -81,21 +81,6 @@ func WithWAL(enabled bool) Option {
 	return func(c *Config) { c.WAL = enabled }
 }
 
-// WithWALGroupCommit tunes the WAL's group commit: the log-force leader
-// lingers up to delay (wall clock) for up to batch committers to queue, then
-// forces the log once for all of them.  Concurrent committers always
-// piggyback on an in-flight force even without this option; the linger just
-// makes groups form under moderate concurrency.  batch <= 1 or delay <= 0
-// disables the linger.
-//
-//	db, _ := noftl.Open(noftl.WithWALGroupCommit(8, 200*time.Microsecond))
-func WithWALGroupCommit(batch int, delay time.Duration) Option {
-	return func(c *Config) {
-		c.WALCommitBatch = batch
-		c.WALCommitDelay = delay
-	}
-}
-
 // WithBufferPoolShards overrides the buffer pool's shard count (zero = size
 // automatically from the frame count).  More shards reduce frame-table
 // contention between concurrent workers; each shard runs its own CLOCK over
@@ -104,7 +89,8 @@ func WithBufferPoolShards(n int) Option {
 	return func(c *Config) { c.BufferPoolShards = n }
 }
 
-// WithLockTimeout sets the lock-wait timeout (the deadlock safety net).
+// WithLockTimeout sets the virtual-time budget of a lock wait (see
+// Config.LockTimeout).  Deadlocks are detected without it.
 func WithLockTimeout(d time.Duration) Option {
 	return func(c *Config) { c.LockTimeout = d }
 }
